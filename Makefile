@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-short test-race bench bench-json reproduce examples vet lint glvet fuzz-smoke chaos-smoke alloc-gates trace-smoke serve-smoke serve-chaos-smoke
+.PHONY: all build test test-short test-race bench bench-json bench-layers reproduce examples vet lint glvet fuzz-smoke chaos-smoke alloc-gates trace-smoke serve-smoke serve-chaos-smoke
 
 all: build lint test test-race
 
@@ -80,8 +80,15 @@ test-race:
 bench:
 	go test -bench=. -benchmem .
 
+# Per-layer microbenchmarks: NoC router stepping under uniform-random,
+# all-to-one and in-transit traffic, and the CPU op handshake. Pass
+# BENCHTIME=1x for a compile-and-run smoke.
+bench-layers:
+	go test -run '^$$' -bench 'MeshTick|OpHandshake' -benchmem $(if $(BENCHTIME),-benchtime=$(BENCHTIME)) ./internal/noc ./internal/cpu
+
 # Machine-readable benchmark snapshot: BENCH_<date>.json carries the git
-# SHA and UTC timestamp the numbers were taken at plus one entry per
+# SHA and UTC timestamp the numbers were taken at, the host they were taken
+# on (CPU model, nproc, GOMAXPROCS, Go version) and one entry per
 # benchmark result, for diffing runs over time. The bench run lands in a
 # temp file first so a failing `go test -bench` propagates its exit code
 # instead of leaving a truncated JSON behind. Values are located by their
@@ -90,7 +97,8 @@ bench:
 # BENCH_*.json exists, cmd/benchdelta prints the per-benchmark delta
 # against the most recent one (it reads legacy bare-array snapshots too).
 # Set BENCH_FAIL_ABOVE=<pct> to turn the delta into a gate: the target
-# fails when any benchmark's ns/op regressed by more than that percentage.
+# fails when any benchmark's ns/op regressed by more than that percentage,
+# and refuses to gate against a snapshot from another (or an unknown) host.
 bench-json:
 	@tmp=$$(mktemp); \
 	if ! go test -bench=. -benchmem -run '^$$' ./... >"$$tmp" 2>&1; then \
@@ -101,8 +109,13 @@ bench-json:
 	prev=$$(ls BENCH_*.json 2>/dev/null | grep -v "BENCH_$$(date +%Y%m%d).json" | sort | tail -1); \
 	sha=$$(git rev-parse HEAD 2>/dev/null || echo unknown); \
 	ts=$$(date -u +%Y-%m-%dT%H:%M:%SZ); \
-	awk -v sha="$$sha" -v ts="$$ts" \
-		'BEGIN{printf("{\n\"git_sha\": \"%s\",\n\"generated_at\": \"%s\",\n\"results\": [\n", sha, ts)} \
+	cpu=$$(sed -n 's/^model name[[:space:]]*:[[:space:]]*//p' /proc/cpuinfo 2>/dev/null | head -1 | tr -d '"\\'); \
+	ncpu=$$(nproc 2>/dev/null || echo 0); \
+	procs=$${GOMAXPROCS:-$$ncpu}; \
+	gover=$$(go env GOVERSION); \
+	awk -v sha="$$sha" -v ts="$$ts" -v cpu="$${cpu:-unknown}" -v ncpu="$$ncpu" -v procs="$$procs" -v gover="$$gover" \
+		'BEGIN{printf("{\n\"git_sha\": \"%s\",\n\"generated_at\": \"%s\",\n", sha, ts); \
+		printf("\"host\": {\"cpu\": \"%s\", \"nproc\": %d, \"gomaxprocs\": %d, \"go\": \"%s\"},\n\"results\": [\n", cpu, ncpu, procs, gover)} \
 		/^Benchmark/{ ns="0"; bytes="0"; allocs="0"; \
 		for (i = 3; i <= NF; i++) { \
 			if ($$i == "ns/op") ns = $$(i-1); \

@@ -10,17 +10,26 @@
 //	benchdelta [-fail-above <pct>] OLD.json NEW.json
 //
 // Snapshots are either the current object form ({git_sha, generated_at,
-// results}) or the legacy bare array of results; both load. A missing OLD
-// baseline is not an error — the first snapshot of a repo has nothing to
-// diff against — so benchdelta says so and exits 0.
+// host, results}) or the legacy bare array of results; both load. A missing
+// OLD baseline is not an error — the first snapshot of a repo has nothing
+// to diff against — so benchdelta says so and exits 0.
+//
+// The host object (CPU model, nproc, GOMAXPROCS, Go version) says which
+// machine took the numbers. A snapshot without one — every legacy
+// snapshot — reads as host unknown. When the two hosts differ or either is
+// unknown, benchdelta warns that the deltas may measure the machines
+// rather than the code.
 //
 // With `-fail-above <pct>`, any benchmark whose time per op regressed by
-// more than pct percent fails the run — the CI gate mode. Without it, any
+// more than pct percent fails the run — the CI gate mode. The gate needs
+// both snapshots from one known host: otherwise it refuses to judge and
+// fails with a stated error after printing the table. Without the flag, any
 // deltas (including regressions — judging them is the reader's job) exit 0.
 //
 // Exit status: 0 on success, 1 when -fail-above tripped, 2 on usage or
-// parse errors. Benchmarks present in only one file are listed as
-// added/removed; they never trip the gate (no pair to compare).
+// parse errors and on a gate refused for a host mismatch. Benchmarks
+// present in only one file are listed as added/removed; they never trip
+// the gate (no pair to compare).
 package main
 
 import (
@@ -44,18 +53,39 @@ type result struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// snapshot is one BENCH_<date>.json document: provenance (which commit and
-// when the numbers were taken) plus the results. Legacy snapshots were a
-// bare result array with no provenance; load normalizes both shapes here.
+// host identifies the machine a snapshot was taken on.
+type host struct {
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
+func (h *host) String() string {
+	if h == nil {
+		return "unknown"
+	}
+	return fmt.Sprintf("%s, nproc %d, GOMAXPROCS %d, %s", h.CPU, h.NProc, h.GOMAXPROCS, h.Go)
+}
+
+// snapshot is one BENCH_<date>.json document: provenance (which commit,
+// when and on which host the numbers were taken) plus the results. Legacy
+// snapshots were a bare result array with no provenance; load normalizes
+// both shapes here.
 type snapshot struct {
 	GitSHA      string   `json:"git_sha"`
 	GeneratedAt string   `json:"generated_at"`
+	Host        *host    `json:"host"`
 	Results     []result `json:"results"`
 }
 
 // errRegression marks a -fail-above trip: exit 1, distinct from usage and
 // parse errors (exit 2).
 var errRegression = errors.New("time regression above threshold")
+
+// errHostMismatch marks a -fail-above gate refused because the snapshots
+// do not come from one known host.
+var errHostMismatch = errors.New("refusing to gate across hosts")
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -94,6 +124,11 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "benchdelta %s -> %s\n", describe(paths[0], oldSnap), describe(paths[1], newSnap))
+	sameHost := oldSnap.Host != nil && newSnap.Host != nil && *oldSnap.Host == *newSnap.Host
+	if !sameHost {
+		fmt.Fprintf(out, "warning: snapshots are not from one known host (old: %s; new: %s); deltas may measure the machines, not the code\n",
+			oldSnap.Host, newSnap.Host)
+	}
 	fmt.Fprintf(out, "%-40s %14s %14s %8s %12s %12s %8s\n",
 		"benchmark", "old ns/op", "new ns/op", "Δtime", "old allocs", "new allocs", "Δallocs")
 	oldBy := map[string]result{}
@@ -127,6 +162,10 @@ func run(args []string, out io.Writer) error {
 		if !seen[o.Name] {
 			fmt.Fprintf(out, "%-40s %14.0f %14s %8s\n", o.Name, o.NsPerOp, "-", "removed")
 		}
+	}
+	if *failAbove >= 0 && !sameHost {
+		return fmt.Errorf("%w: -fail-above needs both snapshots from one known host (old: %s; new: %s)",
+			errHostMismatch, oldSnap.Host, newSnap.Host)
 	}
 	if len(regressed) > 0 {
 		return fmt.Errorf("%w: %d benchmark(s) slower by more than %.1f%% (worst: %s %+.1f%%)",

@@ -11,9 +11,8 @@ import (
 
 // TestZeroAllocOpHandshake is the core's alloc regression gate: once a
 // program is running and its working set is cached, the op handshake —
-// channel rendezvous, L1 access, typed completion callback, resume — must
-// not allocate per engine step (ISSUE: zero steady-state allocation in the
-// cpu op-handshake).
+// coroutine yield of the op, L1 access, typed completion callback, resume
+// with the result — must not allocate per engine step.
 func TestZeroAllocOpHandshake(t *testing.T) {
 	eng := engine.New()
 	cfg := config.Default(4)
@@ -34,7 +33,7 @@ func TestZeroAllocOpHandshake(t *testing.T) {
 	})
 
 	// Warm up: fault in the two lines, fill the message and event pools,
-	// and let the program goroutine's stack reach steady state.
+	// and let the program coroutine's stack reach steady state.
 	for i := 0; i < 5000; i++ {
 		eng.Step()
 	}

@@ -1,11 +1,17 @@
 // Package cpu models the in-order cores of the CMP and the operation-level
 // program interface workloads are written against.
 //
-// A Program is an ordinary Go function running in its own goroutine; it
+// A Program is an ordinary Go function run as a coroutine (iter.Pull): it
 // issues operations (compute, loads, stores, atomics, G-line barriers)
-// through a Ctx. The core and the program hand off control synchronously —
-// exactly one of them runs at any instant — so simulation remains
-// deterministic while workloads read like straight-line code.
+// through a Ctx, and each operation yields it back to the core, which
+// resumes it once the engine has timed the operation. Exactly one of the
+// two runs at any instant and no scheduler sits between them, so
+// simulation remains deterministic while workloads read like straight-line
+// code.
+//
+// iter.Pull needs Go 1.23. The file calling it carries a go1.23 build
+// constraint so the module's go line can stay at 1.22; the package does
+// not build with an older toolchain.
 package cpu
 
 import (
@@ -98,9 +104,12 @@ type Core struct {
 	l1         *coherence.L1
 	be         BarrierEngine
 
-	opCh  chan op
-	resCh chan uint64
-	abort chan struct{}
+	// next resumes the program until it yields its next op (ok false once
+	// it has returned); stop unwinds it. Both are nil until Start. res
+	// carries the finished op's result back into the program.
+	next func() (op, bool)
+	stop func()
+	res  uint64
 
 	breakdown  stats.TimeBreakdown
 	opCounts   [numOpKinds]uint64
@@ -143,9 +152,6 @@ func NewCore(id int, eng *engine.Engine, issueWidth int, glOverhead uint64, l1 *
 		overhead:   glOverhead,
 		l1:         l1,
 		be:         be,
-		opCh:       make(chan op),
-		resCh:      make(chan uint64),
-		abort:      make(chan struct{}),
 	}
 	c.completeFn = c.complete
 	c.spinAttemptFn = c.spinAttempt
@@ -193,58 +199,21 @@ func (c *Core) OpCounts() (compute, loads, stores, atomics, barriers uint64) {
 // FinishCycle returns the cycle the program completed (valid once Done).
 func (c *Core) FinishCycle() uint64 { return c.endCycle }
 
-// errAborted is the sentinel carried by the panic that unwinds a program
-// goroutine when the simulation is torn down early.
+// errAborted is the sentinel panic that unwinds a program coroutine when
+// the simulation is torn down early.
 var errAborted = fmt.Errorf("cpu: simulation aborted")
 
-// Start launches prog on the core. The program begins issuing operations at
-// the engine's current cycle.
-func (c *Core) Start(prog Program) {
-	if c.running {
-		panic(fmt.Sprintf("cpu: core %d already running", c.id))
+// Abort tears the core down mid-run (watchdog/error paths): the program
+// coroutine unwinds now, and the core finishes at its next resume. Abort
+// is idempotent and a no-op before Start.
+func (c *Core) Abort() {
+	if c.stop != nil {
+		c.stop()
 	}
-	c.running = true
-	c.startCycle = c.eng.Now()
-	ctx := &Ctx{core: c, region: stats.RegionBusy}
-	// The program goroutine waits for the engine's first next-op event
-	// before running. This start gate extends the op-handshake
-	// serialization to the program's very first instructions: code a
-	// program runs before its first operation (e.g. a barrier recorder
-	// stamping an arrival) is ordered after everything the engine ran
-	// earlier, so programs never execute concurrently with each other.
-	gate := make(chan struct{})
-	go func() {
-		defer close(c.opCh)
-		defer func() {
-			if r := recover(); r != nil {
-				if err, ok := r.(error); ok && err == errAborted {
-					return
-				}
-				c.err = fmt.Errorf("cpu: core %d program panic: %v", c.id, r)
-			}
-		}()
-		select {
-		case <-gate:
-		case <-c.abort:
-			return
-		}
-		prog(ctx)
-	}()
-	c.eng.At(c.eng.Now(), func() {
-		close(gate)
-		c.nextOp()
-	})
 }
 
-// Abort tears the core down mid-run (watchdog/error paths). The program
-// goroutine unwinds the next time it touches its Ctx.
-func (c *Core) Abort() {
-	select {
-	case <-c.abort:
-	default:
-		close(c.abort)
-	}
-}
+// nextOpCB pulls the program's first op at the cycle Start ran.
+func nextOpCB(recv, _ any, _, _ uint64) { recv.(*Core).nextOp() }
 
 // complete finishes the current op: attribute its cycles, hand the result
 // to the program, pull the next op. Bound once as c.completeFn so memory
@@ -255,12 +224,7 @@ func (c *Core) complete(val uint64) {
 		c.tl.Span(trace.CoreTrack(c.id), opSpanNames[c.curOp.kind], c.opStart, c.eng.Now(), 0, c.curOp.addr)
 	}
 	c.breakdown.Add(c.curOp.region, c.eng.Now()-c.opStart)
-	select {
-	case c.resCh <- val:
-	case <-c.abort:
-		c.finishProgram()
-		return
-	}
+	c.res = val
 	c.nextOp()
 }
 
@@ -287,16 +251,11 @@ func glArriveCB(recv, _ any, _, _ uint64) {
 // rangeFireCB issues the pending range miss after its accumulated hit run.
 func rangeFireCB(recv, _ any, _, _ uint64) { recv.(*Core).rangeFire() }
 
-// nextOp pulls the next operation from the program and executes it.
+// nextOp resumes the program until it yields its next operation, then
+// executes that operation. A program that returned, panicked or was
+// aborted yields nothing and the core finishes.
 func (c *Core) nextOp() {
-	var o op
-	var ok bool
-	select {
-	case o, ok = <-c.opCh:
-	case <-c.abort:
-		c.finishProgram()
-		return
-	}
+	o, ok := c.next()
 	if !ok {
 		c.finishProgram()
 		return
@@ -424,12 +383,7 @@ func (c *Core) GLRelease() {
 	c.glPending = false
 	c.tl.Span(trace.CoreTrack(c.id), spanOpBarrier, c.pendStart, c.eng.Now(), 0, uint64(c.curOp.barrierCtx))
 	c.breakdown.Add(c.curOp.region, c.eng.Now()-c.pendStart)
-	select {
-	case c.resCh <- 0:
-	case <-c.abort:
-		c.finishProgram()
-		return
-	}
+	c.res = 0
 	c.nextOp()
 }
 
@@ -519,19 +473,18 @@ func (c *Core) finishProgram() {
 }
 
 // Ctx is the interface a Program uses to issue operations. It is only valid
-// inside the program's goroutine.
+// inside the program's coroutine.
 type Ctx struct {
 	core   *Core
 	region stats.Region
+	// yield suspends the program coroutine, handing o to the core; it
+	// returns false once the core has been aborted.
+	yield func(o op) bool
 }
 
-// do hands one operation to the core's pipeline and blocks the program
-// goroutine until the engine has timed it. The channel rendezvous below is
-// the one sanctioned crossing between program goroutines and the cycle
-// engine: opCh/resCh are unbuffered, so the handshake is synchronous with
-// the core's tick and introduces no scheduling nondeterminism.
-//
-//lint:allow cyclepure op rendezvous is the synchronous core-program bridge
+// do hands one operation to the core's pipeline and suspends the program
+// until the engine has timed it; the core stores the result in res before
+// it resumes the program.
 func (x *Ctx) do(o op) uint64 {
 	o.region = x.region
 	// Outside synchronization regions, memory stall time is attributed to
@@ -546,17 +499,10 @@ func (x *Ctx) do(o op) uint64 {
 			o.region = stats.RegionWrite
 		}
 	}
-	select {
-	case x.core.opCh <- o:
-	case <-x.core.abort:
+	if !x.yield(o) {
 		panic(errAborted)
 	}
-	select {
-	case v := <-x.core.resCh:
-		return v
-	case <-x.core.abort:
-		panic(errAborted)
-	}
+	return x.core.res
 }
 
 // CoreID returns the executing core's tile index.

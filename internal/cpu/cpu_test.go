@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/coherence"
@@ -162,36 +163,83 @@ func TestGLBarrierWithoutEngineFails(t *testing.T) {
 	}
 }
 
+// TestProgramPanicIsCaptured: a program that panics — before its first op
+// or after some — finishes the core at the cycle it panicked, with the
+// panic as the core's error and every earlier op counted.
 func TestProgramPanicIsCaptured(t *testing.T) {
-	h, _ := newCPUHarness(t)
-	h.core.Start(func(c *Ctx) {
-		c.Compute(1)
-		panic("boom")
-	})
-	for i := 0; i < 100 && !h.core.Done(); i++ {
-		h.eng.Step()
-	}
-	if h.core.Err() == nil {
-		t.Error("panic not captured as program error")
+	for _, ops := range []int{0, 1, 5} {
+		h, _ := newCPUHarness(t)
+		h.core.Start(func(c *Ctx) {
+			for i := 0; i < ops; i++ {
+				c.Compute(10)
+			}
+			panic("boom")
+		})
+		for i := 0; i < 100 && !h.core.Done(); i++ {
+			h.eng.Step()
+		}
+		if !h.core.Done() {
+			t.Fatalf("ops=%d: core not done after its program panicked", ops)
+		}
+		if err := h.core.Err(); err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Errorf("ops=%d: Err() = %v, want the program's panic", ops, err)
+		}
+		if compute, _, _, _, _ := h.core.OpCounts(); compute != uint64(ops) {
+			t.Errorf("ops=%d: %d compute ops counted", ops, compute)
+		}
+		if got := h.core.FinishCycle(); got != uint64(ops*10) {
+			t.Errorf("ops=%d: finished at cycle %d, want %d", ops, got, ops*10)
+		}
 	}
 }
 
+// TestAbortUnwindsProgram: an aborted program runs no further code and its
+// core finishes without an error. Abort is idempotent: before Start, twice
+// mid-run and after the core finished are all safe.
 func TestAbortUnwindsProgram(t *testing.T) {
 	h, _ := newCPUHarness(t)
+	h.core.Abort() // before Start: nothing to unwind
+	ops := 0
 	h.core.Start(func(c *Ctx) {
 		for {
 			c.Compute(100)
+			ops++
 		}
 	})
 	for i := 0; i < 10; i++ {
 		h.eng.Step()
 	}
 	h.core.Abort()
+	h.core.Abort()
 	for i := 0; i < 100 && !h.core.Done(); i++ {
 		h.eng.Step()
 	}
 	if !h.core.Done() {
-		t.Error("aborted core never finished")
+		t.Fatal("aborted core never finished")
+	}
+	if err := h.core.Err(); err != nil {
+		t.Errorf("abort reported as a program failure: %v", err)
+	}
+	h.core.Abort()
+	before := ops
+	for i := 0; i < 300; i++ {
+		h.eng.Step()
+	}
+	if ops != before {
+		t.Errorf("program advanced from %d to %d ops after abort", before, ops)
+	}
+
+	// Aborted before the engine ran its first resume: the program never
+	// runs, and that resume just finishes the core.
+	h, _ = newCPUHarness(t)
+	ran := false
+	h.core.Start(func(c *Ctx) { ran = true })
+	h.core.Abort()
+	for i := 0; i < 10 && !h.core.Done(); i++ {
+		h.eng.Step()
+	}
+	if !h.core.Done() || ran {
+		t.Errorf("abort before first resume: done=%v ran=%v, want done and not run", h.core.Done(), ran)
 	}
 }
 

@@ -12,6 +12,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/engine"
@@ -93,9 +94,13 @@ func (q *entryQueue) pop() {
 }
 
 type router struct {
-	in        [numPorts]entryQueue
-	out       [numPorts]entryQueue
-	busyUntil [numPorts]uint64
+	in  [numPorts]entryQueue
+	out [numPorts]entryQueue
+	// inMask and outMask have bit p set exactly while in[p] / out[p] is
+	// non-empty, so Tick skips idle routers and visits only occupied
+	// ports.
+	inMask, outMask uint8
+	busyUntil       [numPorts]uint64
 	// txFlits counts flit-cycles of occupancy per output port, for the
 	// link-utilization report.
 	txFlits [numPorts]uint64
@@ -223,6 +228,7 @@ func (m *Mesh) inject(p *Packet) {
 	m.inFlight++
 	r := &m.routers[p.Src]
 	r.in[portLocal].push(entry{p: p, readyAt: m.eng.Now()})
+	r.inMask |= 1 << portLocal
 	m.queuePeak.Set(uint64(r.in[portLocal].n))
 }
 
@@ -299,7 +305,9 @@ func arriveCB(recv, obj any, a, b uint64) { recv.(*Mesh).arrive(int(a), int(b), 
 
 // Tick advances the mesh one cycle: a routing stage moving at most one
 // packet per input port into an output queue, then a transmission stage
-// starting at most one packet per free output port.
+// starting at most one packet per free output port. Routers with no queued
+// packet are skipped and only occupied ports are visited, in ascending
+// node and port order, so the work done matches a full scan exactly.
 //
 //glvet:cyclepath
 func (m *Mesh) Tick(cycle uint64) bool {
@@ -308,20 +316,31 @@ func (m *Mesh) Tick(cycle uint64) bool {
 	}
 	for node := range m.routers {
 		r := &m.routers[node]
-		for port := 0; port < numPorts; port++ {
+		if r.inMask|r.outMask == 0 {
+			continue
+		}
+		for mask := r.inMask; mask != 0; mask &= mask - 1 {
+			port := bits.TrailingZeros8(mask)
 			q := &r.in[port]
-			if q.n == 0 || q.front().readyAt > cycle {
+			if q.front().readyAt > cycle {
 				continue
 			}
 			e := *q.front()
 			q.pop()
+			if q.n == 0 {
+				r.inMask &^= 1 << port
+			}
 			outPort := m.route(node, e.p.Dst)
 			r.out[outPort].push(entry{p: e.p, readyAt: cycle + m.routerLat})
+			r.outMask |= 1 << outPort
 			m.queuePeak.Set(uint64(r.out[outPort].n))
 		}
-		for port := 0; port < numPorts; port++ {
+		// Read outMask only now: the routing stage above can fill output
+		// queues.
+		for mask := r.outMask; mask != 0; mask &= mask - 1 {
+			port := bits.TrailingZeros8(mask)
 			q := &r.out[port]
-			if q.n == 0 || q.front().readyAt > cycle || r.busyUntil[port] > cycle {
+			if q.front().readyAt > cycle || r.busyUntil[port] > cycle {
 				continue
 			}
 			if port != portLocal && m.inj.LinkDown(cycle, node, port) {
@@ -331,6 +350,9 @@ func (m *Mesh) Tick(cycle uint64) bool {
 			}
 			e := *q.front()
 			q.pop()
+			if q.n == 0 {
+				r.outMask &^= 1 << port
+			}
 			flits := uint64(e.p.Flits)
 			if port == portLocal {
 				r.busyUntil[port] = cycle + flits
@@ -365,6 +387,7 @@ func (m *Mesh) Tick(cycle uint64) bool {
 func (m *Mesh) arrive(node, inPort int, p *Packet) {
 	r := &m.routers[node]
 	r.in[inPort].push(entry{p: p, readyAt: m.eng.Now()})
+	r.inMask |= 1 << inPort
 	m.queuePeak.Set(uint64(r.in[inPort].n))
 }
 

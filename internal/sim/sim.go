@@ -301,8 +301,9 @@ func (s *System) Run(maxCycles uint64) (*Report, error) {
 	return rep, err
 }
 
-// Close unwinds any program goroutines still blocked (after an error or
-// cycle-budget exhaustion).
+// Close unwinds any program coroutines still suspended (after an error,
+// a stall or cycle-budget exhaustion, or when the system never ran). It
+// is idempotent.
 func (s *System) Close() {
 	for i := 0; i < s.launched; i++ {
 		s.Cores[i].Abort()
